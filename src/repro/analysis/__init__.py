@@ -25,6 +25,7 @@ Three layers on top of the observability substrate:
 from .critical_path import (
     Attribution,
     IntervalIndex,
+    Timeline,
     attribute,
     attribute_query,
     raw_intervals,
@@ -66,6 +67,7 @@ __all__ = [
     "attribute",
     "attribute_query",
     "IntervalIndex",
+    "Timeline",
     "raw_intervals",
     "OBSERVATORY_SCHEMA",
     "Observatory",

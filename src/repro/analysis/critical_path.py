@@ -30,12 +30,16 @@ Exactness: segment boundaries are converted to
 :class:`fractions.Fraction` (exact for every float), so the per-bucket
 sums telescope to precisely ``Fraction(finished_at) -
 Fraction(started_at)`` — no float drift, asserted by the reconciliation
-tests with zero tolerance.
+tests with zero tolerance.  :class:`Timeline` answers many windows of
+one horizon from a single sweep with the same exactness, summing
+dyadic integers instead of Fractions; :func:`attribute` is its
+reference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -44,7 +48,7 @@ import numpy as np
 
 from ..sim import EventKind, Trace
 
-__all__ = ["Attribution", "IntervalIndex", "attribute",
+__all__ = ["Attribution", "IntervalIndex", "Timeline", "attribute",
            "attribute_query", "raw_intervals"]
 
 
@@ -116,7 +120,11 @@ class Attribution:
         elapsed = self.elapsed
         if elapsed <= 0:
             return {}
-        return {name: float(value / elapsed) for name, value in
+        # Int true division is correctly rounded, so this is
+        # float(value / elapsed) without building the quotient.
+        num, den = elapsed.numerator, elapsed.denominator
+        return {name: value.numerator * den / (value.denominator * num)
+                for name, value in
                 sorted(self.buckets.items(),
                        key=lambda kv: (-kv[1], kv[0]))}
 
@@ -237,49 +245,35 @@ def _clip(intervals, q0: float, q1: float
     return out
 
 
-def attribute(trace: Trace, started_at: float, finished_at: float,
-              intervals: Optional[list] = None) -> Attribution:
-    """Attribute every instant of ``[started_at, finished_at]``.
+def _partial_reason(trace: Trace) -> str:
+    """Why attributions over ``trace`` are partial ("" = complete).
 
-    Boundary sweep over the clipped interval set: between two adjacent
-    boundaries exactly one set of sources is active, and the segment
-    is charged to the highest-priority one (``wait:other`` when none).
-    All widths are summed as :class:`~fractions.Fraction`, so the
-    result reconciles exactly.
-
-    ``intervals`` (from :func:`raw_intervals`) skips the per-call
-    trace walk when attributing many windows against one trace.
+    A bounded ring that overflowed lost CHUNK_EMIT/RECV and
+    CREDIT_STALL events: the wire/credit sources are truncated and no
+    window may be presented as fully reconciled.
     """
-    attribution = Attribution(started_at=started_at,
-                              finished_at=finished_at)
     dropped = trace.events.dropped
     if dropped > 0:
-        # A bounded ring that overflowed lost CHUNK_EMIT/RECV and
-        # CREDIT_STALL events: the wire/credit sources are truncated
-        # and the window must not be presented as fully reconciled.
-        attribution.partial = True
-        attribution.partial_reason = (
-            f"event ring dropped {dropped} events; wire/credit "
-            "intervals incomplete")
-    if finished_at <= started_at:
-        return attribution
+        return (f"event ring dropped {dropped} events; wire/credit "
+                "intervals incomplete")
+    return ""
 
-    if intervals is None:
-        intervals = raw_intervals(trace)
-    if isinstance(intervals, IntervalIndex):
-        intervals = intervals.clip(started_at, finished_at)
-    else:
-        intervals = _clip(intervals, started_at, finished_at)
-    # The sweep runs on raw floats: every float is exactly one
-    # rational, so float comparison, hashing, and sorting agree with
-    # their Fraction counterparts.  Only segment *widths* need exact
-    # arithmetic, and segments tile the window, so per-bucket widths
-    # telescope across each merged same-winner run — two Fraction
-    # conversions per run instead of one per boundary point.
-    bounds = {started_at, finished_at}
+
+def _sweep(clipped, q0: float, q1: float
+           ) -> list[tuple[float, float, str]]:
+    """Merged ``(lo, hi, winner)`` runs tiling ``[q0, q1]``.
+
+    ``clipped`` holds intervals already clipped to the window.
+    Between two adjacent boundaries exactly one set of sources is
+    active, and the segment goes to the highest-priority one
+    (``wait:other`` when none).  The sweep runs on raw floats: every
+    float is exactly one rational, so float comparison, hashing, and
+    sorting agree with their Fraction counterparts.
+    """
+    bounds = {q0, q1}
     starts: dict[float, list[tuple[int, str]]] = {}
     ends: dict[float, list[tuple[int, str]]] = {}
-    for start, end, bucket, prio in intervals:
+    for start, end, bucket, prio in clipped:
         bounds.add(start)
         bounds.add(end)
         starts.setdefault(start, []).append((prio, bucket))
@@ -307,16 +301,168 @@ def attribute(trace: Trace, started_at: float, finished_at: float,
             raw_segments[-1] = (prev[0], points[index + 1], winner)
         else:
             raw_segments.append((left, points[index + 1], winner))
+    return raw_segments
 
+
+def _clip_any(intervals, q0: float, q1: float):
+    if isinstance(intervals, IntervalIndex):
+        return intervals.clip(q0, q1)
+    return _clip(intervals, q0, q1)
+
+
+def attribute(trace: Trace, started_at: float, finished_at: float,
+              intervals: Optional[list] = None) -> Attribution:
+    """Attribute every instant of ``[started_at, finished_at]``.
+
+    Boundary sweep over the clipped interval set (:func:`_sweep`).
+    All widths are summed as :class:`~fractions.Fraction`, so the
+    result reconciles exactly; this is the reference arithmetic that
+    :class:`Timeline`'s integer prefix sums are checked against.
+
+    ``intervals`` (from :func:`raw_intervals`) skips the per-call
+    trace walk when attributing many windows against one trace.
+    """
+    attribution = Attribution(started_at=started_at,
+                              finished_at=finished_at)
+    attribution.partial_reason = _partial_reason(trace)
+    attribution.partial = bool(attribution.partial_reason)
+    if finished_at <= started_at:
+        return attribution
+
+    if intervals is None:
+        intervals = raw_intervals(trace)
+    segments = _sweep(_clip_any(intervals, started_at, finished_at),
+                      started_at, finished_at)
+    # Segments tile the window, so per-bucket widths telescope across
+    # each merged same-winner run: two Fraction conversions per run
+    # instead of one per boundary point.
     buckets: dict[str, Fraction] = {}
     zero = Fraction(0)
-    for lo, hi, winner in raw_segments:
+    for lo, hi, winner in segments:
         buckets[winner] = buckets.get(winner, zero) + (
             Fraction(hi) - Fraction(lo))
 
     attribution.buckets = buckets
-    attribution.segments = raw_segments
+    attribution.segments = segments
     return attribution
+
+
+def _dyadic(value: float) -> tuple[int, int]:
+    """``value`` as ``(n, k)`` with ``value == n / 2**k`` exactly."""
+    n, d = value.as_integer_ratio()  # d is a power of two
+    return n, d.bit_length() - 1
+
+
+class Timeline:
+    """Every window of ``[start, end]`` from one sweep, in integers.
+
+    :func:`attribute` clips and sweeps the whole interval list per
+    window.  A timeline sweeps ``[start, end]`` once and keeps the
+    merged ``(lo, hi, winner)`` runs.  The winner at an instant
+    depends only on the intervals covering it, never on the window
+    asked about, so any window's runs are a slice of these with the
+    two end runs cut at the window edges.
+
+    Every run boundary is a float, i.e. exactly ``n / 2**e``; all of
+    them are stored as Python ints on the one scale ``2**-k`` with the
+    largest ``e``.  Per bucket the timeline keeps the indices of its
+    runs and integer prefix sums of their widths, so :meth:`window`
+    costs two bisects per bucket plus the two partial end runs, with
+    no ``gcd`` until the result is handed out as
+    :class:`~fractions.Fraction` seconds.  The result equals
+    :func:`attribute` over the same window exactly (buckets,
+    segments, partial flag).
+    """
+
+    __slots__ = ("start", "end", "partial_reason", "_runs", "_los",
+                 "_ints", "_k", "_table")
+
+    def __init__(self, trace: Trace, start: float, end: float,
+                 intervals=None):
+        self.start = start
+        self.end = end
+        self.partial_reason = _partial_reason(trace)
+        if intervals is None:
+            intervals = raw_intervals(trace)
+        runs = _sweep(_clip_any(intervals, start, end), start, end) \
+            if end > start else []
+        self._runs = runs
+        self._los = [lo for lo, _hi, _winner in runs]
+        dyadic = [_dyadic(x) for x in self._los]
+        if runs:
+            dyadic.append(_dyadic(end))
+        k = max((e for _n, e in dyadic), default=0)
+        ints = [n << (k - e) for n, e in dyadic]
+        #: Bucket -> (indices of its runs, prefix sums of their widths).
+        table: dict[str, tuple[list[int], list[int]]] = {}
+        for index, (_lo, _hi, winner) in enumerate(runs):
+            cell = table.get(winner)
+            if cell is None:
+                cell = table[winner] = ([], [0])
+            cell[0].append(index)
+            cell[1].append(cell[1][-1] + ints[index + 1] - ints[index])
+        self._ints = ints
+        self._k = k
+        self._table = table
+
+    def window(self, started_at: float, finished_at: float
+               ) -> Attribution:
+        """The exact attribution of ``[started_at, finished_at]``.
+
+        Both edges must lie inside ``[start, end]``; a window that
+        reaches outside the timeline raises :class:`ValueError`.
+        """
+        if not (self.start <= started_at <= self.end
+                and self.start <= finished_at <= self.end):
+            raise ValueError(
+                f"window [{started_at!r}, {finished_at!r}] outside the "
+                f"timeline [{self.start!r}, {self.end!r}]")
+        attribution = Attribution(
+            started_at=started_at, finished_at=finished_at,
+            partial=bool(self.partial_reason),
+            partial_reason=self.partial_reason)
+        if finished_at <= started_at:
+            return attribution
+
+        runs, ints = self._runs, self._ints
+        first = bisect_right(self._los, started_at) - 1
+        last = bisect_left(self._los, finished_at) - 1
+        # One scale for the run boundaries and both window edges.
+        a, ka = _dyadic(started_at)
+        b, kb = _dyadic(finished_at)
+        k = max(self._k, ka, kb)
+        a <<= k - ka
+        b <<= k - kb
+        shift = k - self._k
+
+        head = runs[first][2]
+        if first == last:
+            charges = [(first, head, b - a)]
+            segments = [(started_at, finished_at, head)]
+        else:
+            tail = runs[last][2]
+            # (first run index in the window, bucket, width) per bucket.
+            charges = [(first, head, (ints[first + 1] << shift) - a),
+                       (last, tail, b - (ints[last] << shift))]
+            for name, (indices, prefix) in self._table.items():
+                lo = bisect_left(indices, first + 1)
+                hi = bisect_left(indices, last)
+                if hi > lo:
+                    charges.append((indices[lo], name,
+                                    (prefix[hi] - prefix[lo]) << shift))
+            segments = runs[first:last + 1]
+            segments[0] = (started_at, runs[first][1], head)
+            segments[-1] = (runs[last][0], finished_at, tail)
+
+        # Buckets in order of first appearance, like attribute().
+        sums: dict[str, int] = {}
+        for _index, name, width in sorted(charges):
+            sums[name] = sums.get(name, 0) + width
+        scale = 1 << k
+        attribution.buckets = {name: Fraction(width, scale)
+                               for name, width in sums.items()}
+        attribution.segments = segments
+        return attribution
 
 
 def attribute_query(trace: Trace, result) -> Attribution:

@@ -10,17 +10,18 @@ workload ran, derived purely from records the run already produces.
 Three derived products, all pure observation:
 
 * **Saturation series.**  The run's horizon is tiled into tumbling
-  windows and every window is attributed with the same exact
-  critical-path sweep queries use
-  (:func:`~repro.analysis.critical_path.attribute` over one shared
-  :class:`~repro.analysis.critical_path.IntervalIndex`).  Per window
+  windows and every window is attributed from the same exact
+  critical-path sweep queries use: one
+  :class:`~repro.analysis.critical_path.Timeline` over the whole
+  horizon serves every window and every query.  Per window
   and per device pool that yields busy seconds, the queueing-delay
   contribution (``wait:other``), the credit-stall share
   (``wait:credit``) and wire time — and, from the clipped ``link.*``
   serialization spans times each link's bandwidth, bytes moved per
-  link.  Window sums reconcile with the scalar reference path and
-  telescope to the whole-horizon attribution *exactly* (Fraction
-  arithmetic, tolerance 0, CI-gated).
+  link.  Window sums reconcile with the scalar reference path
+  (:func:`~repro.analysis.critical_path.attribute` over a plain
+  interval list) and telescope to the whole-horizon attribution
+  *exactly* (tolerance 0, CI-gated).
 * **Bound-resource classifier.**  Every completed query is tagged
   with the dominant bucket of its ``[arrival, finished]`` attribution
   (``device`` / ``storage`` / ``nic`` / ``link`` / ``wait:*``),
@@ -53,7 +54,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..sim import Trace
-from .critical_path import (Attribution, IntervalIndex, attribute,
+from .critical_path import (IntervalIndex, Timeline, attribute,
                             raw_intervals)
 
 __all__ = ["Observatory", "OBSERVATORY_SCHEMA", "bound_class",
@@ -163,7 +164,7 @@ class Observatory:
         self._regret: list[dict] = []
         self._horizon = 0.0
         self._raw: list = []
-        self._index: Optional[IntervalIndex] = None
+        self._timeline: Optional[Timeline] = None
 
     # -- lifecycle hook (called by QueryServer at completion) --------------
 
@@ -185,11 +186,12 @@ class Observatory:
             return
         self._horizon = max(now, self.trace.clock)
         self._raw = raw_intervals(self.trace)
-        self._index = IntervalIndex(self._raw)
+        self._timeline = Timeline(self.trace, 0.0, self._horizon,
+                                  intervals=self._raw)
         self._edges = self._tile(self._horizon)
         for i in range(len(self._edges) - 1):
-            att = attribute(self.trace, self._edges[i],
-                            self._edges[i + 1], intervals=self._index)
+            att = self._timeline.window(self._edges[i],
+                                        self._edges[i + 1])
             self._window_buckets.append(att.buckets)
         self._link_bytes = self._fold_link_bytes()
         self._classify()
@@ -237,16 +239,10 @@ class Observatory:
                         + overlap * bandwidth
         return out
 
-    def _query_attribution(self, record, started: float,
-                           finished: float) -> Attribution:
-        return attribute(self.trace, started, finished,
-                         intervals=self._index)
-
     def _classify(self) -> None:
         """Tag every completed query with its dominant bound bucket."""
         for record, _variants, _decision in self._completed:
-            att = self._query_attribution(record, record.arrival,
-                                          record.finished)
+            att = self._timeline.window(record.arrival, record.finished)
             dominant = att.dominant()
             shares = att.shares()
             self._bound.append({
@@ -263,8 +259,7 @@ class Observatory:
         """Score one executed query against its plan alternatives."""
         if not variants:
             return None
-        att = self._query_attribution(record, record.started,
-                                      record.finished)
+        att = self._timeline.window(record.started, record.finished)
         shares = att.shares()
         chosen_name = (decision.chosen if decision is not None
                        else record.variant_name)
@@ -400,14 +395,17 @@ class Observatory:
 
         [] = exact.  All at tolerance 0 (Fraction arithmetic):
 
-        * every window's vectorized attribution equals the scalar
+        * every window's timeline attribution equals the scalar
           reference path (:func:`~repro.analysis.critical_path._clip`)
           and tiles its window exactly;
         * window sums telescope to the whole-horizon attribution;
         * the first ``query_sample`` completed queries' own
-          ``attribute()`` buckets equal their window-clipped sums;
-        * every bound tag and regret entry is reproduced by an
-          independent recomputation;
+          ``attribute()`` buckets equal their window-clipped sums,
+          and the timeline's attribution of both their
+          ``[arrival, finished]`` and ``[started, finished]``
+          windows equals ``attribute()``;
+        * every bound tag and regret entry is reproduced by a
+          recomputation from the timeline (cross-checked above);
         * the ``partial`` flag agrees with the ring's drop counter.
         """
         if not self._finalized:
@@ -420,7 +418,7 @@ class Observatory:
                                   intervals=list(self._raw))
             if reference.buckets != buckets:
                 errors.append(
-                    f"window {i}: vectorized buckets diverge from "
+                    f"window {i}: timeline buckets diverge from "
                     "the scalar reference path")
             width = Fraction(w1) - Fraction(w0)
             if sum(buckets.values(), Fraction(0)) != width:
@@ -445,11 +443,30 @@ class Observatory:
         return errors
 
     def _query_reconciliation(self, sample: int) -> list[str]:
-        """Per-query attribute() == its window-clipped sums, exactly."""
+        """Per-query attribute() == its window-clipped sums, exactly.
+
+        Also pins the timeline: for each sampled query its
+        ``[arrival, finished]`` and ``[started, finished]`` windows
+        must equal the independent :class:`IntervalIndex` path.
+        """
         errors: list[str] = []
+        index = IntervalIndex(self._raw)
         for record, _v, _d in self._completed[:sample]:
+            for label, q0 in (("arrival", record.arrival),
+                              ("started", record.started)):
+                fast = self._timeline.window(q0, record.finished)
+                slow = attribute(self.trace, q0, record.finished,
+                                 intervals=index)
+                if (fast.buckets != slow.buckets
+                        or fast.segments != slow.segments
+                        or fast.partial != slow.partial
+                        or fast.partial_reason != slow.partial_reason):
+                    errors.append(
+                        f"{record.name}: timeline attribution of "
+                        f"[{label}, finished] diverges from "
+                        "attribute()")
             whole = attribute(self.trace, record.arrival,
-                              record.finished, intervals=self._index)
+                              record.finished, intervals=index)
             pieces: dict[str, Fraction] = {}
             lo = self._window_of(record.arrival)
             hi = self._window_of(record.finished)
@@ -459,7 +476,7 @@ class Observatory:
                 if q1 <= q0:
                     continue
                 part = attribute(self.trace, q0, q1,
-                                 intervals=self._index)
+                                 intervals=index)
                 for name, value in part.buckets.items():
                     pieces[name] = pieces.get(name, Fraction(0)) \
                         + value
@@ -483,15 +500,14 @@ class Observatory:
         if tagged != len(self._bound):
             errors.append("per-tenant bound counts do not sum to the "
                           "tagged query count")
+        by_name = {r.name: r for r, _v, _d in reversed(self._completed)}
         for entry in self._bound:
-            record = next((r for r, _v, _d in self._completed
-                           if r.name == entry["name"]), None)
+            record = by_name.get(entry["name"])
             if record is None:
                 errors.append(f"bound entry {entry['name']} has no "
                               "completion record")
                 continue
-            att = self._query_attribution(record, record.arrival,
-                                          record.finished)
+            att = self._timeline.window(record.arrival, record.finished)
             if att.dominant() != entry["bucket"]:
                 errors.append(
                     f"{entry['name']}: recorded bound bucket "

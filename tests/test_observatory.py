@@ -16,6 +16,7 @@ from repro.analysis import (
     IntervalIndex,
     Observatory,
     OBSERVATORY_SCHEMA,
+    Timeline,
     attribute,
     bound_class,
     effective_cost,
@@ -191,6 +192,33 @@ def test_digest_deterministic_across_identical_runs():
     b = run_scenario("two_tenant_bursty", queries=25, verify=False)
     assert a["observatory_digest"] == b["observatory_digest"]
     assert a["observatory"] == b["observatory"]
+
+
+def test_digests_pinned_on_three_tenant_mix():
+    # Recorded before the observatory moved from per-window
+    # clip-and-sweep Fraction sums to one horizon sweep with dyadic
+    # integer prefix sums: the arithmetic swap must not move a byte.
+    server = serve_scenario_server("three_tenant_mix", queries=200)
+    record = server.report("three_tenant_mix")
+    assert record["observatory_digest"] == (
+        "142ff408f0a39f6ffce752212423b50a6a2081c6a614ff4296ecc9b49b630ad9")
+    assert record["telemetry_digest"] == (
+        "af48509321a2d68aeda53d1d006a0b8249d2b656002fbe91e1a1397fd4585f85")
+
+
+def test_reconciliation_catches_a_diverging_timeline(server,
+                                                     monkeypatch):
+    obs = server.observatory
+    obs.finalize(server.fabric.sim.now)
+    # A timeline missing the device spans misattributes every query.
+    kept = [iv for iv in obs._raw if not iv[2].startswith("device:")]
+    monkeypatch.setattr(obs, "_timeline", Timeline(
+        server.fabric.trace, 0.0, obs._horizon, intervals=kept))
+    errors = obs._query_reconciliation(5)
+    assert any("timeline attribution of [arrival, finished]" in e
+               for e in errors)
+    assert any("timeline attribution of [started, finished]" in e
+               for e in errors)
 
 
 # ---------------------------------------------------------------------------
